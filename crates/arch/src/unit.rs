@@ -26,7 +26,7 @@ use enmc_obs::trace::{
     TraceBuffer, TraceEvent, TraceSink, CAT_PIPELINE, TID_COUNTERS, TID_EXECUTOR, TID_PHASES,
     TID_SCREENER, TID_SFU,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Ring capacity per DRAM channel when a traced simulation turns the
 /// controller's command trace on.
@@ -224,7 +224,7 @@ pub struct RankUnit {
 }
 
 /// Who a completed burst belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
     ScreenTile(usize),
     ExecRow(usize),
@@ -232,10 +232,77 @@ enum Tag {
     SpillRead(usize),
 }
 
+/// A multi-burst transfer waiting for its bursts to complete.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    tag: Tag,
+    left: usize,
+}
+
+/// In-flight bookkeeping without hashing: transfers live in a slab of
+/// reusable slots, and bursts are indexed by the contiguous
+/// [`RequestId`]s the rank's private [`DramSystem`] hands out. Both are
+/// sized by what is in flight, never by the job.
+#[derive(Debug, Default)]
+struct Inflight {
+    transfers: Vec<Transfer>,
+    free: Vec<usize>,
+    /// Transfer slot of each burst from id `base` on, `None` once the
+    /// burst completed: the window from the oldest unfinished burst to
+    /// the newest issued one.
+    bursts: VecDeque<Option<u32>>,
+    base: u64,
+}
+
+impl Inflight {
+    /// Opens a transfer of `bursts` bursts; returns its slot.
+    fn open(&mut self, tag: Tag, bursts: usize) -> usize {
+        let t = Transfer { tag, left: bursts };
+        match self.free.pop() {
+            Some(slot) => {
+                self.transfers[slot] = t;
+                slot
+            }
+            None => {
+                self.transfers.push(t);
+                self.transfers.len() - 1
+            }
+        }
+    }
+
+    /// Records that burst `id` of transfer `slot` was accepted.
+    fn issued(&mut self, id: RequestId, slot: usize) {
+        if self.bursts.is_empty() {
+            self.base = id.0;
+        }
+        debug_assert_eq!(id.0, self.base + self.bursts.len() as u64, "request ids not contiguous");
+        self.bursts.push_back(Some(slot as u32));
+    }
+
+    /// Retires burst `id`; returns the transfer's tag when that was its
+    /// last outstanding burst.
+    fn complete(&mut self, id: RequestId) -> Option<Tag> {
+        let idx = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
+        let slot = self.bursts.get_mut(idx)?.take()? as usize;
+        while let Some(None) = self.bursts.front() {
+            self.bursts.pop_front();
+            self.base += 1;
+        }
+        let t = &mut self.transfers[slot];
+        t.left -= 1;
+        if t.left > 0 {
+            return None;
+        }
+        self.free.push(slot);
+        Some(t.tag)
+    }
+}
+
 /// A multi-burst fetch with partial-issue progress.
 #[derive(Debug, Clone, Copy)]
 struct Fetch {
-    tag: Tag,
+    /// The transfer's [`Inflight`] slot.
+    slot: usize,
     base: u64,
     total: usize,
     issued: usize,
@@ -250,12 +317,15 @@ struct Fetcher {
 }
 
 impl Fetcher {
-    fn push(&mut self, tag: Tag, base: u64, bursts: usize, write: bool) {
-        self.queue.push_back(Fetch { tag, base, total: bursts, issued: 0, write });
+    /// Queues a transfer of `bursts` bursts from `base`, opening its
+    /// in-flight record under `tag`.
+    fn push(&mut self, inflight: &mut Inflight, tag: Tag, base: u64, bursts: usize, write: bool) {
+        let slot = inflight.open(tag, bursts);
+        self.queue.push_back(Fetch { slot, base, total: bursts, issued: 0, write });
     }
 
     /// Issues as many bursts as the DRAM queue accepts, front first.
-    fn pump(&mut self, dram: &mut DramSystem, inflight: &mut HashMap<RequestId, Tag>) {
+    fn pump(&mut self, dram: &mut DramSystem, inflight: &mut Inflight) {
         while let Some(f) = self.queue.front_mut() {
             while f.issued < f.total {
                 let addr = f.base + (f.issued * 64) as u64;
@@ -263,7 +333,7 @@ impl Fetcher {
                     if f.write { MemRequest::write(addr) } else { MemRequest::read(addr) };
                 match dram.enqueue(req) {
                     Some(id) => {
-                        inflight.insert(id, f.tag);
+                        inflight.issued(id, f.slot);
                         f.issued += 1;
                     }
                     None => return, // DRAM queue full; resume next cycle
@@ -374,8 +444,7 @@ impl RankUnit {
             .collect();
 
         // ---- pipeline state -------------------------------------------------
-        let mut inflight: HashMap<RequestId, Tag> = HashMap::new();
-        let mut remaining: HashMap<Tag, usize> = HashMap::new();
+        let mut inflight = Inflight::default();
         let mut screen_fetch = Fetcher::default();
         let mut exec_fetch = Fetcher::default();
         let mut spill_fetch = Fetcher::default();
@@ -439,8 +508,8 @@ impl RankUnit {
             {
                 let pos = next_tile % screen_tiles;
                 let tag = Tag::ScreenTile(next_tile);
-                screen_fetch.push(tag, screen_base + (pos * p.buffer_bytes) as u64, bursts_per_tile, false);
-                remaining.insert(tag, bursts_per_tile);
+                let base = screen_base + (pos * p.buffer_bytes) as u64;
+                screen_fetch.push(&mut inflight, tag, base, bursts_per_tile, false);
                 report.screen_bytes += (bursts_per_tile * 64) as u64;
                 next_tile += 1;
             }
@@ -450,8 +519,7 @@ impl RankUnit {
                 && exec_fetch.outstanding() + rows_ready.len() < 4
             {
                 let tag = Tag::ExecRow(candidates_fetched);
-                exec_fetch.push(tag, next_row_addr(), bursts_per_row, false);
-                remaining.insert(tag, bursts_per_row);
+                exec_fetch.push(&mut inflight, tag, next_row_addr(), bursts_per_row, false);
                 report.exact_bytes += (bursts_per_row * 64) as u64;
                 candidates_fetched += 1;
             }
@@ -463,26 +531,19 @@ impl RankUnit {
 
             // (4) Drain DRAM completions.
             for c in dram.drain_completions() {
-                let Some(tag) = inflight.remove(&c.id) else { continue };
-                let Some(left) = remaining.get_mut(&tag) else { continue };
-                *left -= 1;
-                if *left > 0 {
-                    continue;
-                }
-                remaining.remove(&tag);
+                let Some(tag) = inflight.complete(c.id) else { continue };
                 match tag {
                     Tag::ScreenTile(t) => tiles_ready.push_back(t),
                     Tag::ExecRow(cand) => rows_ready.push_back(cand),
                     Tag::SpillWrite(group) => {
                         // Logits durable: read them back for filtering.
-                        let tag = Tag::SpillRead(group);
                         spill_fetch.push(
-                            tag,
+                            &mut inflight,
+                            Tag::SpillRead(group),
                             spill_base + (group * spill_bursts_per_group * 64) as u64,
                             spill_bursts_per_group,
                             false,
                         );
-                        remaining.insert(tag, spill_bursts_per_group);
                         report.spill_bytes += (spill_bursts_per_group * 64) as u64;
                     }
                     Tag::SpillRead(group) => {
@@ -549,14 +610,13 @@ impl RankUnit {
                     {
                         // No comparator array: spill this group's logits.
                         spill_written[group] = true;
-                        let tag = Tag::SpillWrite(group);
                         spill_fetch.push(
-                            tag,
+                            &mut inflight,
+                            Tag::SpillWrite(group),
                             spill_base + (group * spill_bursts_per_group * 64) as u64,
                             spill_bursts_per_group,
                             true,
                         );
-                        remaining.insert(tag, spill_bursts_per_group);
                         report.spill_bytes += (spill_bursts_per_group * 64) as u64;
                     }
                 }
@@ -846,6 +906,27 @@ mod tests {
         r.record_into(&mut reg, &[("rank", "0")]);
         assert_eq!(reg.counter_value("unit.dram_cycles", &[("rank", "0")]), r.dram_cycles);
         assert_eq!(reg.counter_value("dram.reads", &[("rank", "0")]), r.dram.reads);
+    }
+
+    #[test]
+    fn inflight_bookkeeping_follows_what_is_in_flight() {
+        let mut inflight = Inflight::default();
+        let a = inflight.open(Tag::ScreenTile(0), 2);
+        let b = inflight.open(Tag::ExecRow(0), 1);
+        for (id, slot) in [(5, a), (6, b), (7, a)] {
+            inflight.issued(RequestId(id), slot);
+        }
+        // Out of order: the window keeps the oldest unfinished burst.
+        assert_eq!(inflight.complete(RequestId(6)), Some(Tag::ExecRow(0)));
+        assert_eq!(inflight.bursts.len(), 3);
+        assert_eq!(inflight.complete(RequestId(5)), None, "one burst of the tile left");
+        assert_eq!(inflight.complete(RequestId(7)), Some(Tag::ScreenTile(0)));
+        assert!(inflight.bursts.is_empty(), "window drains with the last burst");
+        assert_eq!(inflight.complete(RequestId(7)), None, "a burst retires once");
+        // Freed slots are reused, so the slab never outgrows the peak.
+        inflight.open(Tag::ScreenTile(1), 1);
+        inflight.open(Tag::ScreenTile(2), 1);
+        assert_eq!(inflight.transfers.len(), 2);
     }
 
     #[test]

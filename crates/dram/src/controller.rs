@@ -15,6 +15,38 @@
 //! This mirrors the paper's note that the on-DIMM DRAM controller is a
 //! simplified host-style controller ("we do not deploy unnecessary
 //! features like queue prioritizing, request coalescing").
+//!
+//! # Cost per tick
+//!
+//! Same-address requests must not reorder (RAW/WAR/WAW), so a request is
+//! held back while an older queued request targets the same coordinate.
+//! Each queue entry carries a **hazard counter** — the number of older
+//! queued entries with its coordinate — set at [`ChannelController::enqueue`]
+//! and decremented for younger same-coordinate entries when a column
+//! command retires an entry; an entry may schedule once it reaches zero.
+//!
+//! A scheduling pass that finds nothing to issue also records the
+//! **quiet window**: the earliest cycle at which anything could become
+//! legal (each candidate's [`RankState::earliest`] for its next command,
+//! each not-yet-due rank's refresh deadline, REF/PREA for due ranks).
+//! Nothing but time changes the schedule between commands and enqueues,
+//! so ticks inside the window do only the per-cycle bookkeeping
+//! (`total_cycles`, `idle_cycles`, sampled counter tracks) in O(1). An
+//! enqueue reopens the window; issuing a command lands past it, so the
+//! next tick runs a full pass either way.
+//!
+//! The pre-window FR-FCFS selection — a full pass every tick with a
+//! per-tick scan for older same-address requests — survives as the
+//! **reference** ([`ChannelController::new_reference`]); the engine
+//! differential tests drive both with identical traffic and require
+//! identical command logs, statistics, completions, violations and trace
+//! events. The two differ only in that selection (`pick` vs
+//! `pick_reference`) and in the reference never skipping a tick. Both
+//! share the refresh step, column issue (`issue_column`, `classify`), the
+//! hazard counters kept by `enqueue`, and [`RankState`] with its
+//! open-bank count, so the differential does not check those; the
+//! controller unit tests, the protocol checker and `RankState`'s
+//! debug-build recount of open banks do.
 
 use crate::checker::{ProtocolViolation, TimingChecker};
 use crate::command::{Command, CommandKind, TimedCommand};
@@ -41,6 +73,21 @@ struct Entry {
     /// Set once this entry has caused a PRE (conflict) so it is only
     /// classified once in the stats.
     classified: bool,
+    /// Older queued entries with the same coordinate; the entry may not
+    /// schedule until they have all retired.
+    older_same: u32,
+}
+
+/// The command one scheduling pass chose.
+enum Pick {
+    /// Column command for the entry at this queue index.
+    Column(usize),
+    /// ACT for the entry at this queue index.
+    Act(usize),
+    /// PRE for the entry at this queue index.
+    Pre(usize),
+    /// Nothing is legal before this cycle.
+    Wait(u64),
 }
 
 /// One channel's controller and its ranks.
@@ -66,6 +113,12 @@ pub struct ChannelController {
     /// Issue-stamped command log for golden-model replay; `None` by
     /// default.
     cmd_log: Option<Vec<TimedCommand>>,
+    /// First cycle at which a command could become legal, recorded by the
+    /// last pass that issued nothing; earlier ticks skip scheduling.
+    quiet_until: u64,
+    /// Run the reference scheduler (full pass every tick, per-tick
+    /// hazard scan) instead of the windowed one.
+    reference: bool,
 }
 
 impl ChannelController {
@@ -85,8 +138,19 @@ impl ChannelController {
             trace_pid: 0,
             checker: None,
             cmd_log: None,
+            quiet_until: 0,
+            reference: false,
             config,
         }
+    }
+
+    /// A controller running the reference scheduler: a full FR-FCFS pass
+    /// on every tick with a per-tick scan for same-address hazards. It is
+    /// the oracle the windowed scheduler is diffed against and makes
+    /// exactly the same decisions, only slower.
+    #[doc(hidden)]
+    pub fn new_reference(config: DramConfig) -> Self {
+        ChannelController { reference: true, ..Self::new(config) }
     }
 
     /// Starts collecting command events into a ring of `capacity` events,
@@ -127,11 +191,7 @@ impl ChannelController {
     /// cycles from [`ChannelController::tick`].
     fn trace_counters(&mut self, now: u64) {
         let Some(trace) = self.trace.as_mut() else { return };
-        let open_rows: usize = self
-            .ranks
-            .iter()
-            .map(|r| (0..r.banks()).filter(|&b| r.open_row(b).is_some()).count())
-            .sum();
+        let open_rows: usize = self.ranks.iter().map(RankState::open_banks).sum();
         trace.record(
             TraceEvent::counter("queue_depth", CAT_DRAM, now, self.trace_pid, TID_COUNTERS)
                 .with_arg("value", self.queue.len() as u64),
@@ -234,7 +294,9 @@ impl ChannelController {
         if self.queue.len() >= self.config.queue_depth {
             return false;
         }
-        self.queue.push(Entry { id, kind, coord, arrived: now, classified: false });
+        let older_same = self.queue.iter().filter(|e| e.coord == coord).count() as u32;
+        self.quiet_until = 0; // a new candidate: the next tick runs a full pass
+        self.queue.push(Entry { id, kind, coord, arrived: now, classified: false, older_same });
         true
     }
 
@@ -249,10 +311,17 @@ impl ChannelController {
             // Eligible for precharge power-down this cycle.
             self.stats.idle_cycles += 1;
         }
-        // Mark refreshes that have become due.
+        if now < self.quiet_until {
+            return None;
+        }
+        // Mark refreshes that have become due; a rank not yet due wakes
+        // the scheduler at its deadline.
+        let mut wake = u64::MAX;
         for r in 0..self.ranks.len() {
             if now >= self.next_refresh[r] {
                 self.refresh_due[r] = true;
+            } else if !self.refresh_due[r] {
+                wake = wake.min(self.next_refresh[r]);
             }
         }
         // 1. Refresh has priority.
@@ -262,7 +331,8 @@ impl ChannelController {
             }
             let any = Coord { channel: 0, rank: r, bank_group: 0, bank: 0, row: 0, column: 0 };
             if self.ranks[r].all_closed() {
-                if self.ranks[r].earliest(CommandKind::Ref, &any) <= now {
+                let at = self.ranks[r].earliest(CommandKind::Ref, &any);
+                if at <= now {
                     self.ranks[r].issue(CommandKind::Ref, &any, now);
                     self.observe_cmd(now, CommandKind::Ref, &any);
                     self.stats.refreshes += 1;
@@ -270,18 +340,85 @@ impl ChannelController {
                     self.next_refresh[r] += self.config.timing.trefi;
                     return None;
                 }
-            } else if self.ranks[r].earliest(CommandKind::PreA, &any) <= now {
-                self.ranks[r].issue(CommandKind::PreA, &any, now);
-                self.observe_cmd(now, CommandKind::PreA, &any);
-                self.stats.precharges += 1;
-                return None;
+                wake = wake.min(at);
+            } else {
+                let at = self.ranks[r].earliest(CommandKind::PreA, &any);
+                if at <= now {
+                    self.ranks[r].issue(CommandKind::PreA, &any, now);
+                    self.observe_cmd(now, CommandKind::PreA, &any);
+                    self.stats.precharges += 1;
+                    return None;
+                }
+                wake = wake.min(at);
             }
             // Wait for the rank to become refreshable before serving it.
         }
 
-        // 2. FR-FCFS: oldest-first row hit. Same-address requests must not
-        // reorder (RAW/WAR/WAW): a younger request to a coordinate an older
-        // queued request also targets is held back.
+        // 2. FR-FCFS.
+        let pick = if self.reference { self.pick_reference(now) } else { self.pick(now, wake) };
+        match pick {
+            Pick::Column(i) => Some(self.issue_column(i, now)),
+            Pick::Act(i) => {
+                let coord = self.classify(i, |s| &mut s.row_misses);
+                self.ranks[coord.rank].issue(CommandKind::Act, &coord, now);
+                self.observe_cmd(now, CommandKind::Act, &coord);
+                self.stats.activations += 1;
+                None
+            }
+            Pick::Pre(i) => {
+                let coord = self.classify(i, |s| &mut s.row_conflicts);
+                self.ranks[coord.rank].issue(CommandKind::Pre, &coord, now);
+                self.observe_cmd(now, CommandKind::Pre, &coord);
+                self.stats.precharges += 1;
+                None
+            }
+            Pick::Wait(until) => {
+                self.quiet_until = until;
+                None
+            }
+        }
+    }
+
+    /// One FR-FCFS pass: the oldest ready row hit, else the oldest ready
+    /// ACT, else the oldest ready PRE. When nothing is ready, the pass
+    /// also yields the earliest cycle any candidate (or `wake`, the
+    /// refresh side's earliest event) could become legal.
+    fn pick(&self, now: u64, mut wake: u64) -> Pick {
+        let org = &self.config.organization;
+        let mut act: Option<usize> = None;
+        let mut pre: Option<usize> = None;
+        for (i, e) in self.queue.iter().enumerate() {
+            if e.older_same > 0 || self.refresh_due[e.coord.rank] {
+                continue; // an older same-address request goes first / rank draining
+            }
+            let rank = &self.ranks[e.coord.rank];
+            let (cmd, slot) = match rank.open_row(e.coord.flat_bank(org)) {
+                Some(row) if row == e.coord.row => (column_command(e.kind), None),
+                Some(_) if pre.is_none() => (CommandKind::Pre, Some(&mut pre)),
+                None if act.is_none() => (CommandKind::Act, Some(&mut act)),
+                _ => continue, // an older entry already holds that slot
+            };
+            let at = rank.earliest(cmd, &e.coord);
+            if at > now {
+                wake = wake.min(at);
+                continue;
+            }
+            match slot {
+                None => return Pick::Column(i), // oldest ready hit wins immediately
+                Some(s) => *s = Some(i),
+            }
+        }
+        match (act, pre) {
+            (Some(i), _) => Pick::Act(i),
+            (None, Some(i)) => Pick::Pre(i),
+            (None, None) => Pick::Wait(wake),
+        }
+    }
+
+    /// The reference FR-FCFS pass: recomputes same-address hazards from
+    /// scratch by scanning the queue, and never opens a window
+    /// (`Wait(0)`), so every tick runs a full pass.
+    fn pick_reference(&self, now: u64) -> Pick {
         let mut hit_idx: Option<usize> = None;
         let mut act_idx: Option<usize> = None;
         let mut pre_idx: Option<usize> = None;
@@ -317,71 +454,61 @@ impl ChannelController {
                 }
             }
         }
+        match (hit_idx, act_idx, pre_idx) {
+            (Some(i), _, _) => Pick::Column(i),
+            (None, Some(i), _) => Pick::Act(i),
+            (None, None, Some(i)) => Pick::Pre(i),
+            (None, None, None) => Pick::Wait(0),
+        }
+    }
 
-        if let Some(i) = hit_idx {
-            let mut e = self.queue.remove(i);
-            let cmd = match (self.config.page_policy, e.kind) {
-                (PagePolicy::Open, _) => column_command(e.kind),
-                (PagePolicy::Closed, RequestKind::Read) => CommandKind::Rda,
-                (PagePolicy::Closed, RequestKind::Write) => CommandKind::Wra,
-            };
-            self.ranks[e.coord.rank].issue(cmd, &e.coord, now);
-            self.observe_cmd(now, cmd, &e.coord);
-            if self.config.page_policy == PagePolicy::Closed {
-                self.stats.precharges += 1; // implicit auto-precharge
-            }
-            if !e.classified {
-                self.stats.row_hits += 1;
-                e.classified = true;
-            }
-            self.stats.bank_group_accesses[e.coord.bank_group % MAX_BANK_GROUPS] += 1;
-            let t = &self.config.timing;
-            self.stats.busy_cycles += t.tbl;
-            let finish = match e.kind {
-                RequestKind::Read => {
-                    self.stats.reads += 1;
-                    now + t.cl + t.tbl
-                }
-                RequestKind::Write => {
-                    self.stats.writes += 1;
-                    now + t.cwl + t.tbl
-                }
-            };
-            return Some(Completion { id: e.id, finish_cycle: finish, enqueued: e.arrived });
+    /// Marks entry `i` as classified, counting it under `counter` the
+    /// first time (its first ACT is a miss, its first PRE a conflict);
+    /// returns its coordinate.
+    fn classify(&mut self, i: usize, counter: fn(&mut DramStats) -> &mut u64) -> Coord {
+        let e = &mut self.queue[i];
+        if !e.classified {
+            e.classified = true;
+            *counter(&mut self.stats) += 1;
         }
-        if let Some(i) = act_idx {
-            let (coord, classified) = {
-                let e = &mut self.queue[i];
-                let c = e.coord;
-                let was = e.classified;
-                e.classified = true;
-                (c, was)
-            };
-            self.ranks[coord.rank].issue(CommandKind::Act, &coord, now);
-            self.observe_cmd(now, CommandKind::Act, &coord);
-            self.stats.activations += 1;
-            if !classified {
-                self.stats.row_misses += 1;
+        e.coord
+    }
+
+    /// Issues the column command of entry `i`, retiring it from the queue.
+    fn issue_column(&mut self, i: usize, now: u64) -> Completion {
+        let e = self.queue.remove(i);
+        for younger in &mut self.queue[i..] {
+            if younger.coord == e.coord {
+                younger.older_same -= 1;
             }
-            return None;
         }
-        if let Some(i) = pre_idx {
-            let (coord, classified) = {
-                let e = &mut self.queue[i];
-                let c = e.coord;
-                let was = e.classified;
-                e.classified = true;
-                (c, was)
-            };
-            self.ranks[coord.rank].issue(CommandKind::Pre, &coord, now);
-            self.observe_cmd(now, CommandKind::Pre, &coord);
-            self.stats.precharges += 1;
-            if !classified {
-                self.stats.row_conflicts += 1;
+        let cmd = match (self.config.page_policy, e.kind) {
+            (PagePolicy::Open, _) => column_command(e.kind),
+            (PagePolicy::Closed, RequestKind::Read) => CommandKind::Rda,
+            (PagePolicy::Closed, RequestKind::Write) => CommandKind::Wra,
+        };
+        self.ranks[e.coord.rank].issue(cmd, &e.coord, now);
+        self.observe_cmd(now, cmd, &e.coord);
+        if self.config.page_policy == PagePolicy::Closed {
+            self.stats.precharges += 1; // implicit auto-precharge
+        }
+        if !e.classified {
+            self.stats.row_hits += 1;
+        }
+        self.stats.bank_group_accesses[e.coord.bank_group % MAX_BANK_GROUPS] += 1;
+        let t = &self.config.timing;
+        self.stats.busy_cycles += t.tbl;
+        let finish = match e.kind {
+            RequestKind::Read => {
+                self.stats.reads += 1;
+                now + t.cl + t.tbl
             }
-            return None;
-        }
-        None
+            RequestKind::Write => {
+                self.stats.writes += 1;
+                now + t.cwl + t.tbl
+            }
+        };
+        Completion { id: e.id, finish_cycle: finish, enqueued: e.arrived }
     }
 }
 
@@ -524,6 +651,81 @@ mod tests {
             }
         }
         assert_eq!(completions, vec![RequestId(1), RequestId(2)], "write must precede read");
+    }
+
+    /// Every entry's hazard counter equals the number of older queued
+    /// entries with its coordinate.
+    fn assert_hazards_consistent(ctrl: &ChannelController) {
+        for (i, e) in ctrl.queue.iter().enumerate() {
+            let older = ctrl.queue[..i].iter().filter(|o| o.coord == e.coord).count() as u32;
+            assert_eq!(e.older_same, older, "hazard counter of queue entry {i}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        #[test]
+        fn same_address_requests_keep_program_order(
+            triples in proptest::collection::vec((0usize..6, 0usize..4), 1..10),
+            hits in proptest::collection::vec((0usize..12, 0usize..32), 1..24),
+            gap in 0u64..3,
+        ) {
+            // Write / read / write triples to a handful of coordinates in
+            // one bank (two rows, so some triples also conflict),
+            // interleaved with row hits to other banks that FR-FCFS would
+            // happily pull forward.
+            let target = |c: usize| Coord {
+                channel: 0, rank: 0, bank_group: 0, bank: 0, row: 10 + c % 2, column: c,
+            };
+            let hit = |h: usize, col: usize| Coord {
+                channel: 0, rank: 0, bank_group: 1 + h % 3, bank: h % 4, row: 5, column: col,
+            };
+            let mut ops: Vec<(RequestKind, Coord)> = Vec::new();
+            let mut hit_iter = hits.iter().cycle();
+            for &(c, extra) in &triples {
+                for kind in [RequestKind::Write, RequestKind::Read, RequestKind::Write] {
+                    ops.push((kind, target(c)));
+                    for _ in 0..extra {
+                        let &(h, col) = hit_iter.next().expect("nonempty");
+                        ops.push((RequestKind::Read, hit(h, col)));
+                    }
+                }
+            }
+            let mut fast = controller();
+            let mut slow = ChannelController::new_reference(fast.config);
+            let (mut order_fast, mut order_slow) = (Vec::new(), Vec::new());
+            let mut next = 0usize;
+            let mut now = 0u64;
+            while order_fast.len() < ops.len() || order_slow.len() < ops.len() {
+                if now % (gap + 1) == 0 && next < ops.len() && fast.free_slots() > 0 {
+                    let (kind, coord) = ops[next];
+                    assert!(fast.enqueue(RequestId(next as u64), kind, coord, now));
+                    assert!(slow.enqueue(RequestId(next as u64), kind, coord, now));
+                    next += 1;
+                }
+                order_fast.extend(fast.tick(now).map(|c| c.id.0 as usize));
+                order_slow.extend(slow.tick(now).map(|c| c.id.0 as usize));
+                assert_hazards_consistent(&fast);
+                now += 1;
+                assert!(now < 1_000_000, "stalled");
+            }
+            assert_eq!(order_fast, order_slow, "fast and reference schedules differ");
+            // Program order per coordinate: ids of one coordinate complete
+            // in increasing order.
+            let mut last: Vec<(Coord, usize)> = Vec::new();
+            for &id in &order_fast {
+                let coord = ops[id].1;
+                if let Some(slot) = last.iter_mut().find(|(c, _)| *c == coord) {
+                    assert!(slot.1 < id, "request {id} overtook {} at {coord:?}", slot.1);
+                    slot.1 = id;
+                } else {
+                    last.push((coord, id));
+                }
+            }
+            // The queue drained, and the counters were exact at every tick,
+            // so each entry's counter reached zero before it issued.
+            assert!(fast.is_idle() && slow.is_idle());
+        }
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub struct RankState {
     last_col_cycle: Option<(u64, usize, bool)>, // (cycle, bank_group, was_write)
     /// Cycle at which a scheduled refresh completes (banks blocked).
     refresh_until: u64,
+    /// Banks with a row open, kept by ACT / PRE / PREA / auto-precharge
+    /// so the idle and refresh checks need not walk the banks.
+    open_banks: usize,
 }
 
 impl RankState {
@@ -37,6 +40,7 @@ impl RankState {
             last_act_cycle: None,
             last_col_cycle: None,
             refresh_until: 0,
+            open_banks: 0,
         }
     }
 
@@ -52,7 +56,12 @@ impl RankState {
 
     /// `true` if every bank is precharged (needed before REF).
     pub fn all_closed(&self) -> bool {
-        self.banks.iter().all(|b| b.state() == RowState::Closed)
+        self.open_banks == 0
+    }
+
+    /// Number of banks with a row open.
+    pub fn open_banks(&self) -> usize {
+        self.open_banks
     }
 
     /// Earliest cycle at which `cmd` may issue, considering both bank-local
@@ -126,11 +135,12 @@ impl RankState {
     /// [`RankState::earliest`] first.
     pub fn issue(&mut self, kind: CommandKind, coord: &Coord, now: u64) {
         debug_assert!(now >= self.earliest(kind, coord), "{kind:?} issued too early");
-        let t = &self.timing.clone();
+        let t = &self.timing;
         let flat = coord.flat_bank(&self.org);
         match kind {
             CommandKind::Act => {
                 self.banks[flat].issue(kind, coord.row, now, t);
+                self.open_banks += 1;
                 if self.act_window.len() == 4 {
                     self.act_window.pop_front();
                 }
@@ -143,6 +153,7 @@ impl RankState {
                         b.issue(CommandKind::Pre, 0, now, t);
                     }
                 }
+                self.open_banks = 0;
             }
             CommandKind::Ref => {
                 self.refresh_until = now + t.trfc;
@@ -153,11 +164,21 @@ impl RankState {
             k if k.is_column() => {
                 self.banks[flat].issue(kind, coord.row, now, t);
                 self.last_col_cycle = Some((now, coord.bank_group, k.is_write()));
+                if matches!(k, CommandKind::Rda | CommandKind::Wra) {
+                    self.open_banks -= 1; // auto-precharge
+                }
             }
             _ => {
+                let was_open = self.banks[flat].state() != RowState::Closed;
                 self.banks[flat].issue(kind, coord.row, now, t);
+                self.open_banks -= usize::from(was_open);
             }
         }
+        debug_assert_eq!(
+            self.open_banks,
+            self.banks.iter().filter(|b| b.state() != RowState::Closed).count(),
+            "open-bank count out of step after {kind:?}"
+        );
     }
 
     /// The open row of a bank, if any.

@@ -86,9 +86,23 @@ impl DramSystem {
     /// Builds a system with an explicit address mapping (the ENMC on-DIMM
     /// controller uses [`AddressMapping::RoRaBaCoBg`]).
     pub fn with_mapping(config: DramConfig, mapping: AddressMapping) -> Self {
-        let channels = (0..config.organization.channels)
-            .map(|_| ChannelController::new(config))
-            .collect();
+        Self::with_controllers(config, mapping, ChannelController::new)
+    }
+
+    /// [`DramSystem::with_mapping`] on reference-scheduler channel
+    /// controllers ([`ChannelController::new_reference`]), the oracle the
+    /// engine differential tests diff the fast controller against.
+    #[doc(hidden)]
+    pub fn with_mapping_reference(config: DramConfig, mapping: AddressMapping) -> Self {
+        Self::with_controllers(config, mapping, ChannelController::new_reference)
+    }
+
+    fn with_controllers(
+        config: DramConfig,
+        mapping: AddressMapping,
+        controller: fn(DramConfig) -> ChannelController,
+    ) -> Self {
+        let channels = (0..config.organization.channels).map(|_| controller(config)).collect();
         DramSystem {
             config,
             mapping,
@@ -136,17 +150,24 @@ impl DramSystem {
             }
         }
         self.cycle += 1;
-        // Promote completions whose data has fully transferred.
+        // Promote completions whose data has fully transferred, keeping
+        // both lists in production order.
         let now = self.cycle;
-        let (done, still): (Vec<_>, Vec<_>) =
-            self.pending.drain(..).partition(|c| c.finish_cycle <= now);
-        self.pending = still;
-        self.ready.extend(done);
+        let ready = &mut self.ready;
+        self.pending.retain(|c| {
+            let done = c.finish_cycle <= now;
+            if done {
+                ready.push(*c);
+            }
+            !done
+        });
     }
 
-    /// Removes and returns all completions available so far.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.ready)
+    /// Removes and yields all completions available so far, in production
+    /// order. The buffer keeps its capacity, so draining every cycle
+    /// allocates nothing once it has grown.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.ready.drain(..)
     }
 
     /// `true` if no requests are queued or in flight.
